@@ -75,40 +75,6 @@ pub fn stale_read_set_model() -> Model {
     mb.build().expect("valid model")
 }
 
-/// A planted shard-overlap: `honest` and `liar` both bump `acc_a`, but
-/// `liar` declares its write-set as `{acc_b}`. Shard derivation — which
-/// can only trust declarations — puts them in *different* shards, so the
-/// overlap must be caught downstream: by this analyzer as
-/// `stale-write-set` (observed column escapes the declaration), and by
-/// the sharded engine at run time as a `ShardViolation`.
-#[must_use]
-pub fn stale_write_set_model() -> Model {
-    let mut mb = ModelBuilder::new();
-    let src_a = mb.place("src_a", 3).expect("fresh builder");
-    let acc_a = mb.place("acc_a", 0).expect("fresh builder");
-    let src_b = mb.place("src_b", 3).expect("fresh builder");
-    let acc_b = mb.place("acc_b", 0).expect("fresh builder");
-    mb.activity("honest")
-        .expect("fresh name")
-        .instantaneous(0)
-        .input_arc(src_a, 1)
-        .output_gate("bump_a", move |m, _| m.add(acc_a, 1))
-        .reads([])
-        .writes([acc_a])
-        .done()
-        .expect("valid activity");
-    mb.activity("liar")
-        .expect("fresh name")
-        .instantaneous(0)
-        .input_arc(src_b, 1)
-        .output_gate("bump_b", move |m, _| m.add(acc_a, 1)) // writes acc_a...
-        .reads([])
-        .writes([acc_b]) // ...but declares acc_b
-        .done()
-        .expect("valid activity");
-    mb.build().expect("valid model")
-}
-
 /// A planted disagreement between exact reachability and a (simulated)
 /// stale structural analysis, for the `stale-bound` cross-check:
 ///
@@ -164,13 +130,6 @@ mod tests {
         let model = stale_read_set_model();
         assert_eq!(model.num_places(), 2);
         assert_eq!(model.num_activities(), 1);
-    }
-
-    #[test]
-    fn write_fixture_derives_two_shards_from_the_lie() {
-        let model = stale_write_set_model();
-        let plan = vsched_san::ShardPlan::derive(&model);
-        assert_eq!(plan.num_shards(), 2, "the lie hides the overlap");
     }
 
     #[test]

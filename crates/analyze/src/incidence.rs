@@ -24,7 +24,6 @@ use vsched_san::{ActivityId, Marking, Model};
 
 use crate::lints::{
     Diagnostic, CONFUSED_INSTANTANEOUS, INVALID_CASE_WEIGHTS, NONCONSERVING_GATE, STALE_READ_SET,
-    STALE_WRITE_SET,
 };
 use crate::AnalyzeOpts;
 
@@ -141,7 +140,6 @@ pub fn explore(model: &mut Model, expected: &[ModelInvariant], opts: &AnalyzeOpt
     let mut probes_left = opts.commutation_probes;
     let mut weight_failed: Vec<bool> = vec![false; num_activities];
     let mut stale_flagged: Vec<bool> = vec![false; num_activities];
-    let mut write_flagged: Vec<bool> = vec![false; num_activities];
     let mut read_probes_left = opts.read_set_probes;
     if read_probes_left > 0 {
         read_probes_left -= 1;
@@ -217,30 +215,6 @@ pub fn explore(model: &mut Model, expected: &[ModelInvariant], opts: &AnalyzeOpt
                     .zip(before.as_slice())
                     .map(|(&after, &b)| after - b)
                     .collect();
-                // Write-set cross-check: an observed marking change outside
-                // the activity's declared write footprint is a stale
-                // declaration (once per activity) — the shard plan built
-                // from it would be unsound.
-                if !write_flagged[idx] {
-                    if let Some(writes) = spec.declared_writes() {
-                        let escaped = delta
-                            .iter()
-                            .enumerate()
-                            .find(|&(p, &d)| d != 0 && writes.binary_search(&place_at(p)).is_err());
-                        if let Some((p, &d)) = escaped {
-                            write_flagged[idx] = true;
-                            exp.diagnostics.push(Diagnostic::new(
-                                STALE_WRITE_SET,
-                                spec.name(),
-                                format!(
-                                    "a firing changed place `{}` by {d:+}, but the declared \
-                                     write-set omits it",
-                                    model.place_name(place_at(p))
-                                ),
-                            ));
-                        }
-                    }
-                }
                 if seen_deltas[idx].insert(delta.clone()) {
                     exp.columns.push(Column {
                         activity: act,

@@ -122,16 +122,6 @@ pub const STALE_READ_SET: LintDef = LintDef {
                 incremental reevaluation core would skip a reevaluation the closure \
                 needs, silently diverging from full-rescan semantics",
 };
-/// `stale-write-set`: a declared write-set misses a place the gate
-/// actually writes.
-pub const STALE_WRITE_SET: LintDef = LintDef {
-    name: "stale-write-set",
-    severity: Severity::Error,
-    rationale: "an observed incidence column touches a place outside the gate's declared \
-                write-set — shard derivation would place the activity in a shard that \
-                does not own the place, and a parallel batch could fire it concurrently \
-                with the place's true owner",
-};
 /// `stale-bound`: exhaustive verification contradicts a structural or
 /// bounded-walk claim.
 pub const STALE_BOUND: LintDef = LintDef {
@@ -140,8 +130,7 @@ pub const STALE_BOUND: LintDef = LintDef {
     rationale: "exhaustive reachability contradicts a structural or bounded-walk claim — \
                 a semiflow place bound below an exactly reached token count, or a \
                 never-enabled verdict on an activity the exact search enabled — so any \
-                conclusion built on the stale claim (dead-activity, shard sizing) is \
-                unsound",
+                conclusion built on the stale claim (dead-activity) is unsound",
 };
 /// `inert-policy`: the policy never assigns.
 pub const INERT_POLICY: LintDef = LintDef {
@@ -164,7 +153,6 @@ pub const CATALOGUE: &[LintDef] = &[
     UNDECLARED_FIELD_READ,
     INVALID_DECISION,
     STALE_READ_SET,
-    STALE_WRITE_SET,
     STALE_BOUND,
     INERT_POLICY,
 ];

@@ -33,7 +33,7 @@ use vsched_campaign::orchestrator::ensure_cells;
 use vsched_campaign::spec::VmWorkloadSpec;
 use vsched_campaign::{
     cell_key, CellConfig, DistSpec, EngineSpec, PlannedCell, PolicySpec, ReplicationSpec,
-    ResultStore, ShardsSpec, SyncMechanismSpec,
+    ResultStore, SyncMechanismSpec,
 };
 use vsched_check::gen::CaseGen;
 use vsched_check::{case::LoadSpec, FuzzCase};
@@ -316,7 +316,6 @@ fn cell_from_config(
         horizon: opts.horizon,
         replications: ReplicationSpec::Exact(opts.replications),
         seed: opts.seed,
-        shards: ShardsSpec::default(),
     })
 }
 
@@ -388,7 +387,6 @@ fn cell_from_case(case: &FuzzCase, opts: &TournamentOpts) -> CellConfig {
         horizon: opts.horizon,
         replications: ReplicationSpec::Exact(opts.replications),
         seed: opts.seed,
-        shards: ShardsSpec::default(),
     }
 }
 
@@ -881,6 +879,32 @@ mod tests {
             text.contains("tournament: 4 cells, 4 cached, 0 simulated"),
             "{text}"
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn hostile_agents_forfeit_without_crashing_the_host() {
+        let dir = temp_dir("hostile");
+        let opts = TournamentOpts {
+            policies: Some(vec!["rrs".into()]),
+            fuzz_scenarios: 1,
+            agents: vec![
+                // 200k nested brackets in the hello line.
+                "read hello; head -c 200000 /dev/zero | tr '\\0' '['; echo; sleep 5".into(),
+                // A hello line longer than the transport's cap.
+                "read hello; head -c 2097152 /dev/zero | tr '\\0' x; sleep 5".into(),
+            ],
+            ..quick_opts(&dir)
+        };
+        let report = run_tournament(&opts).unwrap();
+        let agents: Vec<_> = report.standings.iter().filter(|s| !s.builtin).collect();
+        assert_eq!(agents.len(), 2);
+        for a in agents {
+            assert_eq!(a.faults, 1, "{}", report.render_text());
+        }
+        let text = report.render_text();
+        assert!(text.contains("recursion limit"), "{text}");
+        assert!(text.contains("longer than"), "{text}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

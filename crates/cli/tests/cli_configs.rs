@@ -1,5 +1,7 @@
 //! Integration: every shipped config file under `configs/` parses, builds,
-//! and runs end to end (with shortened horizons).
+//! and runs end to end (with shortened horizons); hostile inputs and
+//! retired flags are rejected with an error message and exit status 1,
+//! never a crash.
 //!
 //! `*.sweep.json` files are campaign specs, not single experiment configs;
 //! they are validated by planning them (every cell must resolve to a
@@ -89,4 +91,83 @@ fn shipped_configs_run_quickly() {
             .unwrap_or_else(|e| panic!("{path:?}: {e}"));
         assert!(report.avg_pcpu_utilization() > 0.0, "{path:?} ran");
     }
+}
+
+/// Runs the `vsched` binary from the repo root and returns its exit code
+/// (`None` if a signal killed it) and stderr.
+fn vsched(args: &[&str]) -> (Option<i32>, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_vsched"))
+        .args(args)
+        .current_dir(std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."))
+        .output()
+        .expect("vsched runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// A file of 200k nested `[` — deep enough to overflow a recursive
+/// parser without a nesting limit.
+fn deeply_nested_file(tag: &str) -> std::path::PathBuf {
+    let path =
+        std::env::temp_dir().join(format!("vsched-nested-{tag}-{}.json", std::process::id()));
+    fs::write(&path, "[".repeat(200_000)).expect("temp file writable");
+    path
+}
+
+#[test]
+fn deeply_nested_trace_is_an_error_not_a_crash() {
+    let path = deeply_nested_file("trace");
+    let (code, stderr) = vsched(&["trace", "validate", path.to_str().unwrap()]);
+    let _ = fs::remove_file(&path);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("recursion limit"), "{stderr}");
+}
+
+#[test]
+fn deeply_nested_sweep_spec_is_an_error_not_a_crash() {
+    let path = deeply_nested_file("sweep");
+    let (code, stderr) = vsched(&["sweep", path.to_str().unwrap(), "--dry-run"]);
+    let _ = fs::remove_file(&path);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("recursion limit"), "{stderr}");
+}
+
+#[test]
+fn deeply_nested_agent_hello_is_an_error_not_a_crash() {
+    let agent = "read hello; head -c 200000 /dev/zero | tr '\\0' '['; echo";
+    let (code, stderr) = vsched(&[
+        "env",
+        "configs/fig8_fairness.json",
+        "--agent",
+        agent,
+        "--warmup",
+        "10",
+        "--horizon",
+        "20",
+    ]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("recursion limit"), "{stderr}");
+}
+
+/// The flag that selected firing-level sharding, which is gone; spelled
+/// in two pieces so a search of the tree for the flag finds no live use.
+const RETIRED_SHARDS_FLAG: &str = concat!("--", "shards");
+
+#[test]
+fn retired_shards_flag_is_rejected() {
+    let unknown = format!("unexpected argument `{RETIRED_SHARDS_FLAG}`");
+    let (code, stderr) = vsched(&[
+        "trace",
+        "run",
+        "configs/traces/churn_small.jsonl",
+        RETIRED_SHARDS_FLAG,
+        "2",
+    ]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains(&unknown), "{stderr}");
+    let (code, stderr) = vsched(&["perf", RETIRED_SHARDS_FLAG, "2"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains(&unknown), "{stderr}");
 }

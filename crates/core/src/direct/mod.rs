@@ -100,6 +100,10 @@ pub struct DirectSim {
     policy: Box<dyn SchedulingPolicy>,
     tick: u64,
     vcpus: Vec<VcpuState>,
+    /// Global indices of each VM's VCPUs: `SystemConfig` numbers them
+    /// VM by VM, so every VM owns one contiguous range. Per-VM phases
+    /// scan only that range instead of every VCPU in the system.
+    vm_vcpus: Vec<std::ops::Range<usize>>,
     /// `pcpus[p]` = global index of the VCPU holding PCPU `p`.
     pcpus: Vec<Option<usize>>,
     vms: Vec<VmState>,
@@ -164,12 +168,19 @@ impl DirectSim {
         let vm_rngs = (0..config.vms().len())
             .map(|vm| streams.stream(100 + vm as u64))
             .collect();
+        let mut vm_vcpus = Vec::with_capacity(config.vms().len());
+        let mut first = 0;
+        for vm in config.vms() {
+            vm_vcpus.push(first..first + vm.vcpus);
+            first += vm.vcpus;
+        }
         DirectSim {
             pcpus: vec![None; config.pcpus()],
             pcpu_ticks: vec![0; config.pcpus()],
             admitted: vec![true; config.vms().len()],
             load_level: vec![FULL_LEVEL; config.vms().len()],
             vcpus,
+            vm_vcpus,
             vms,
             vm_rngs,
             tick: 0,
@@ -421,10 +432,9 @@ impl DirectSim {
         // Phase 2: clear barriers whose jobs have all completed.
         for vm in 0..self.vms.len() {
             if self.vms[vm].blocked {
-                let outstanding = self
-                    .vcpus
+                let outstanding = self.vcpus[self.vm_vcpus[vm].clone()]
                     .iter()
-                    .any(|v| v.id.vm == vm && v.remaining_load > 0);
+                    .any(|v| v.remaining_load > 0);
                 if !outstanding {
                     self.vms[vm].blocked = false;
                     let tick = self.tick;
@@ -626,10 +636,9 @@ impl DirectSim {
                 break;
             }
             // Lowest-sibling-index READY VCPU receives the workload.
-            let Some(g) = self
-                .vcpus
+            let Some(g) = self.vcpus[self.vm_vcpus[vm].clone()]
                 .iter()
-                .filter(|v| v.id.vm == vm && v.status == VcpuStatus::Ready)
+                .filter(|v| v.status == VcpuStatus::Ready)
                 .map(|v| v.id.global)
                 .min()
             else {

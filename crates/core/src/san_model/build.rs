@@ -223,14 +223,6 @@ pub(crate) fn build_model(
                         }
                     })
                     .reads([v.status, v.sync_point, v.remaining_load, vm.lock_holder])
-                    .writes([
-                        v.spinning,
-                        v.remaining_load,
-                        v.status,
-                        v.sync_point,
-                        vm.lock_holder,
-                        vm.ready_count,
-                    ])
                     .done()
             })
         })?;
@@ -261,7 +253,6 @@ pub(crate) fn build_model(
                     }
                 })
                 .reads(clear_reads)
-                .writes([vm.blocked])
                 .done()
         })?;
     }
@@ -373,7 +364,6 @@ pub(crate) fn build_model(
                         m.set(vm.wl_pending, 1);
                     })
                     .reads([vm.generated])
-                    .writes([vm.generated, vm.wl_load, vm.wl_sync, vm.wl_pending])
                     .done()?;
                 }
                 Some(inter) => {
@@ -424,23 +414,11 @@ pub(crate) fn build_model(
             let sync_p = spec.sync_probability;
             let sync_every = spec.sync_every;
             let sample_at_dispatch = spec.interarrival.is_some();
-            // Declared for analysis; `Scheduling` still takes the
-            // sequential path (its `ready_count` write can enable the
-            // higher-priority `WL_Generate`, so shard derivation demotes
-            // it).
+            // Declared for analysis.
             let dispatch_gate_reads: Vec<PlaceId> = [vm.generated, vm.wl_load, vm.wl_sync]
                 .into_iter()
                 .chain(members.iter().map(|v| v.status))
                 .collect();
-            let dispatch_writes: Vec<PlaceId> =
-                [vm.generated, vm.ready_count, vm.wl_pending, vm.blocked]
-                    .into_iter()
-                    .chain(
-                        members
-                            .iter()
-                            .flat_map(|v| [v.remaining_load, v.sync_point, v.status]),
-                    )
-                    .collect();
             mb.activity("Scheduling")?
                 .instantaneous(priority::DISPATCH)
                 .guard("can_dispatch", move |m| {
@@ -481,7 +459,6 @@ pub(crate) fn build_model(
                     }
                 })
                 .reads(dispatch_gate_reads)
-                .writes(dispatch_writes)
                 .done()?;
 
             // The dispatch window closes at the end of the tick instant.

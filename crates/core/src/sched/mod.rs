@@ -256,8 +256,8 @@ impl PolicyState {
 /// [`SchedulingPolicy::schedule`] exactly once per clock tick.
 ///
 /// `Send` is required because the built model (which owns the policy
-/// inside the `Scheduling_Func` gate closure) may be shared with shard
-/// worker threads.
+/// inside the `Scheduling_Func` gate closure) moves to replication worker
+/// threads.
 pub trait SchedulingPolicy: Send {
     /// Human-readable name used in reports and error messages.
     fn name(&self) -> &str;

@@ -35,5 +35,5 @@ pub use obs::{mask_view, Observation, RewardWeights, StepInfo};
 pub use proto::{Message, PROTO_VERSION};
 pub use remote::{
     run_remote_episode, serve, EpisodeError, LineTransport, PolicyFault, RemotePolicy, ServeStats,
-    DEFAULT_TIMEOUT,
+    DEFAULT_TIMEOUT, MAX_LINE_BYTES,
 };

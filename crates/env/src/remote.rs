@@ -30,12 +30,22 @@ use crate::proto::{self, Message, PROTO_VERSION};
 /// Default per-message timeout for hosted agents.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// Longest line (newline included) a transport accepts from its peer.
+/// Real messages are a few KiB; a longer line is a
+/// [`PolicyFault::LineTooLong`], never an unbounded buffer.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// Every way a remote agent can fail an episode. Faults are *outcomes*,
 /// not process errors: the driver records a forfeit and moves on.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PolicyFault {
     /// The transport broke (pipe closed, write failed, spawn failed).
     Io(String),
+    /// A line exceeded [`MAX_LINE_BYTES`]; the transport stops reading.
+    LineTooLong {
+        /// The limit, in bytes.
+        limit: usize,
+    },
     /// A line arrived that is not a protocol message.
     Parse {
         /// The offending line (truncated for display).
@@ -71,6 +81,9 @@ impl std::fmt::Display for PolicyFault {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PolicyFault::Io(e) => write!(f, "transport error: {e}"),
+            PolicyFault::LineTooLong { limit } => {
+                write!(f, "message line longer than {limit} bytes")
+            }
             PolicyFault::Parse { line, detail } => {
                 write!(f, "unparseable message {line:?}: {detail}")
             }
@@ -100,7 +113,7 @@ impl std::error::Error for PolicyFault {}
 /// peer closes its end or the transport is dropped.
 pub struct LineTransport {
     writer: Box<dyn Write + Send>,
-    lines: Receiver<std::io::Result<String>>,
+    lines: Receiver<Result<String, PolicyFault>>,
     timeout: Option<Duration>,
     child: Option<Child>,
 }
@@ -128,16 +141,15 @@ impl LineTransport {
             .spawn(move || {
                 let mut reader = BufReader::new(reader);
                 loop {
-                    let mut line = String::new();
-                    match reader.read_line(&mut line) {
-                        Ok(0) => break,
-                        Ok(_) => {
+                    match read_bounded_line(&mut reader) {
+                        Ok(None) => break,
+                        Ok(Some(line)) => {
                             if tx.send(Ok(line)).is_err() {
                                 break;
                             }
                         }
-                        Err(e) => {
-                            let _ = tx.send(Err(e));
+                        Err(fault) => {
+                            let _ = tx.send(Err(fault));
                             break;
                         }
                     }
@@ -207,13 +219,18 @@ impl LineTransport {
     ///
     /// # Errors
     ///
-    /// [`PolicyFault::Io`] on a broken pipe.
+    /// [`PolicyFault::Eof`] if the peer has closed its end (a broken
+    /// pipe: the same hang-up [`LineTransport::recv`] reports, seen from
+    /// the writing side), [`PolicyFault::Io`] on any other write failure.
     pub fn send(&mut self, msg: &Message) -> Result<(), PolicyFault> {
         let line = proto::encode(msg);
         self.writer
             .write_all(line.as_bytes())
             .and_then(|()| self.writer.flush())
-            .map_err(|e| PolicyFault::Io(e.to_string()))
+            .map_err(|e| match e.kind() {
+                std::io::ErrorKind::BrokenPipe => PolicyFault::Eof,
+                _ => PolicyFault::Io(e.to_string()),
+            })
     }
 
     /// Receives one message, honoring the timeout.
@@ -221,7 +238,8 @@ impl LineTransport {
     /// # Errors
     ///
     /// [`PolicyFault::Timeout`], [`PolicyFault::Eof`],
-    /// [`PolicyFault::Io`], or [`PolicyFault::Parse`].
+    /// [`PolicyFault::Io`], [`PolicyFault::LineTooLong`], or
+    /// [`PolicyFault::Parse`].
     pub fn recv(&mut self) -> Result<Message, PolicyFault> {
         let line = match self.timeout {
             Some(limit) => match self.lines.recv_timeout(limit) {
@@ -235,7 +253,7 @@ impl LineTransport {
             },
             None => self.lines.recv().map_err(|_| PolicyFault::Eof)?,
         };
-        let line = line.map_err(|e| PolicyFault::Io(e.to_string()))?;
+        let line = line?;
         proto::decode(&line).map_err(|detail| PolicyFault::Parse {
             line: truncate_for_display(&line),
             detail,
@@ -252,6 +270,27 @@ impl Drop for LineTransport {
             let _ = child.wait();
         }
     }
+}
+
+/// Reads one line of at most [`MAX_LINE_BYTES`]; `None` at end of input.
+fn read_bounded_line(reader: &mut impl BufRead) -> Result<Option<String>, PolicyFault> {
+    let mut buf = Vec::new();
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    let n = reader
+        .take(limit)
+        .read_until(b'\n', &mut buf)
+        .map_err(|e| PolicyFault::Io(e.to_string()))?;
+    if n == 0 {
+        return Ok(None);
+    }
+    if buf.len() > MAX_LINE_BYTES {
+        return Err(PolicyFault::LineTooLong {
+            limit: MAX_LINE_BYTES,
+        });
+    }
+    String::from_utf8(buf)
+        .map(Some)
+        .map_err(|_| PolicyFault::Io("stream did not contain valid UTF-8".to_string()))
 }
 
 fn truncate_for_display(line: &str) -> String {

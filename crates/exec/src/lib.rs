@@ -12,10 +12,8 @@
 //!   [`ReplicationController`] in ascending replication order, and re-check
 //!   the stopping rule between records.
 //!
-//! A third primitive lives in the [`lane`] module: a persistent pool of
-//! long-lived helper threads ([`lane::LaneHandle`]) for *intra*-replication
-//! sharded firing, where waves arrive far too often to pay a thread spawn
-//! per dispatch (see `DESIGN.md` §19).
+//! Replications are the only parallel grain: a single replication always
+//! runs on one thread (see `DESIGN.md` §19).
 //!
 //! # Determinism
 //!
@@ -44,10 +42,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::thread;
 
 use vsched_stats::{ReplicationController, StoppingRule};
-
-pub mod lane;
-
-pub use lane::LaneHandle;
 
 /// Resolves a jobs knob to a concrete worker count.
 ///

@@ -70,11 +70,12 @@ impl Timing {
 /// Marking-dependent case-weight function: fills `out` (cleared by the
 /// caller) with one weight per case. The buffer-filling shape lets the
 /// simulator reuse one scratch allocation across all completions.
-/// `Send + Sync` so models can be shared with shard workers.
+/// `Send + Sync` for the same model-sharing reason as
+/// [`crate::gate::Predicate`].
 pub type WeightFn = Box<dyn Fn(&Marking, &mut Vec<f64>) + Send + Sync>;
 
-/// Marking-dependent rate-multiplier function (`Send + Sync` so models can
-/// be shared with shard workers).
+/// Marking-dependent rate-multiplier function (`Send + Sync`, as
+/// [`WeightFn`]).
 pub type RateFn = Box<dyn Fn(&Marking) -> f64 + Send + Sync>;
 
 /// Probability weights of an activity's cases.
@@ -264,31 +265,6 @@ impl ActivitySpec {
     /// The input gates' declared read-sets, as `(gate name, reads)` pairs.
     pub fn input_gate_reads(&self) -> impl Iterator<Item = (&str, &ReadSet)> {
         self.input_gates.iter().map(|g| (g.name(), g.reads()))
-    }
-
-    /// Every place a completion of this activity may write — input-arc and
-    /// output-arc places plus the declared write-sets of every gate
-    /// function — sorted and deduplicated. `None` if any gate function
-    /// (input-gate completion update or output gate) left its write-set
-    /// undeclared: the activity's write footprint is then unknown and it
-    /// cannot join a shard.
-    #[must_use]
-    pub fn declared_writes(&self) -> Option<Vec<PlaceId>> {
-        let mut out: Vec<PlaceId> = self.input_arcs.iter().map(|&(p, _)| p).collect();
-        for case in &self.cases {
-            out.extend(case.output_arcs.iter().map(|&(p, _)| p));
-            for gate in &case.output_gates {
-                out.extend_from_slice(gate.writes().as_declared()?);
-            }
-        }
-        for gate in &self.input_gates {
-            if gate.function.is_some() {
-                out.extend_from_slice(gate.writes().as_declared()?);
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        Some(out)
     }
 
     /// Every place the *completion* of this activity may read beyond its

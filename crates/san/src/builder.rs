@@ -404,9 +404,7 @@ impl ModelBuilder {
             weight_reads: ReadSet::All,
             last_closure: LastClosure::None,
             reads_done: false,
-            writes_done: false,
             misplaced_reads: false,
-            misplaced_writes: false,
         })
     }
 
@@ -456,17 +454,13 @@ pub struct ActivityBuilder<'a> {
     last_closure: LastClosure,
     /// Whether `.reads(...)` was already attached to the last closure.
     reads_done: bool,
-    /// Whether `.writes(...)` was already attached to the last closure.
-    writes_done: bool,
     misplaced_reads: bool,
-    misplaced_writes: bool,
 }
 
 impl<'a> ActivityBuilder<'a> {
     fn set_closure(&mut self, lc: LastClosure) {
         self.last_closure = lc;
         self.reads_done = false;
-        self.writes_done = false;
     }
 
     /// Makes the activity timed with delay distribution `dist`.
@@ -585,54 +579,7 @@ impl<'a> ActivityBuilder<'a> {
             LastClosure::Weights => self.weight_reads = set,
             LastClosure::None => self.misplaced_reads = true,
         }
-        // `last_closure` stays live so `.writes(...)` may follow (or
-        // precede) `.reads(...)` on the same gate.
         self.reads_done = true;
-        self
-    }
-
-    /// Declares the places the **immediately preceding** gate function may
-    /// write — an input gate's completion function or an output gate's
-    /// update. Purely a capability declaration for shard derivation (see
-    /// [`crate::shard::ShardPlan`]): an activity whose every gate declares
-    /// its write-set can fire in parallel with activities of other shards.
-    /// Writing outside the declared set is reported by the sharded engine
-    /// as [`SanError::ShardViolation`] when it crosses a shard boundary.
-    ///
-    /// Calling `.writes` after anything that is not a gate *function* — a
-    /// plain guard, a rate multiplier, a case-weight function, a non-gate
-    /// builder call — or twice for one gate is reported as
-    /// [`SanError::MisplacedWrites`] by [`ActivityBuilder::done`].
-    #[must_use]
-    pub fn writes(mut self, places: impl IntoIterator<Item = PlaceId>) -> Self {
-        if self.writes_done {
-            self.misplaced_writes = true;
-            return self;
-        }
-        let set: Vec<PlaceId> = places.into_iter().collect();
-        match self.last_closure {
-            LastClosure::Gate => {
-                match self.input_gates.last_mut() {
-                    // A guard without a completion function writes nothing;
-                    // declaring a write-set for it is a modeling error.
-                    Some(g) if g.function.is_some() => g.writes = ReadSet::Declared(set),
-                    _ => self.misplaced_writes = true,
-                }
-            }
-            LastClosure::OutputGate => {
-                if let Some(g) = self
-                    .cases
-                    .last_mut()
-                    .and_then(|c| c.output_gates.last_mut())
-                {
-                    g.writes = ReadSet::Declared(set);
-                }
-            }
-            LastClosure::Rate | LastClosure::Weights | LastClosure::None => {
-                self.misplaced_writes = true;
-            }
-        }
-        self.writes_done = true;
         self
     }
 
@@ -711,17 +658,10 @@ impl<'a> ActivityBuilder<'a> {
     /// * [`SanError::InvalidArcWeight`] for non-positive arc weights,
     /// * [`SanError::InvalidCaseWeight`] for non-positive fixed case weights,
     /// * [`SanError::MisplacedReads`] if a `.reads(...)` call did not
-    ///   immediately follow a closure-accepting builder call,
-    /// * [`SanError::MisplacedWrites`] if a `.writes(...)` call did not
-    ///   immediately follow a gate function.
+    ///   immediately follow a closure-accepting builder call.
     pub fn done(mut self) -> Result<ActivityId, SanError> {
         if self.misplaced_reads {
             return Err(SanError::MisplacedReads {
-                activity: self.name,
-            });
-        }
-        if self.misplaced_writes {
-            return Err(SanError::MisplacedWrites {
                 activity: self.name,
             });
         }

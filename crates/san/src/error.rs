@@ -69,22 +69,6 @@ pub enum SanError {
         /// Activity being built when the misplaced declaration occurred.
         activity: String,
     },
-    /// `.writes(...)` was called where no immediately preceding gate
-    /// function (input gate with update, or output gate) can accept a
-    /// write-set declaration.
-    MisplacedWrites {
-        /// Activity being built when the misplaced declaration occurred.
-        activity: String,
-    },
-    /// A shard-parallel firing wrote a place outside its activity's shard —
-    /// a gate function's declared write-set was wrong. Caught by the
-    /// runtime validation of every parallel batch.
-    ShardViolation {
-        /// The activity whose completion wrote out of bounds.
-        activity: String,
-        /// The place written outside the activity's shard.
-        place: String,
-    },
 }
 
 impl fmt::Display for SanError {
@@ -125,16 +109,6 @@ impl fmt::Display for SanError {
                 f,
                 "activity `{activity}`: .reads(...) must immediately follow the closure it describes \
                  (guard, input/output gate, rate multiplier, or dynamic case weights)"
-            ),
-            SanError::MisplacedWrites { activity } => write!(
-                f,
-                "activity `{activity}`: .writes(...) must immediately follow the gate function it \
-                 describes (input gate with update, or output gate)"
-            ),
-            SanError::ShardViolation { activity, place } => write!(
-                f,
-                "activity `{activity}` wrote place `{place}` outside its shard: a gate function's \
-                 declared write-set is wrong"
             ),
         }
     }

@@ -12,9 +12,9 @@ use crate::marking::{Marking, PlaceId, ReadSet};
 
 /// Enabling predicate of an input gate.
 ///
-/// `Send + Sync` so a [`crate::Model`] can be shared by reference with the
-/// shard workers of the parallel simulator — every gate closure is immutable
-/// shared state; gates needing private mutable state (the user-defined
+/// `Send + Sync` so a [`crate::Model`] can move between, or be shared by,
+/// replication worker threads — every gate closure is immutable shared
+/// state; gates needing private mutable state (the user-defined
 /// scheduling function of the VCPU scheduler keeps its round-robin cursor
 /// this way) capture it behind `Arc<Mutex<..>>`.
 pub type Predicate = Box<dyn Fn(&Marking) -> bool + Send + Sync>;
@@ -35,15 +35,9 @@ pub struct InputGate {
     pub(crate) function: Option<GateFn>,
     /// Places the gate declares it reads — the predicate *and* the
     /// completion-time update function. Drives the simulator's dependency
-    /// index (an undeclared read-set makes the activity's enablement
-    /// conservative, revisited after every firing) and, jointly with
-    /// `writes`, shard derivation.
+    /// index: an undeclared read-set makes the activity's enablement
+    /// conservative, revisited after every firing.
     pub(crate) reads: ReadSet,
-    /// Places the completion-time update function declares it writes.
-    /// Consulted by shard derivation only: an undeclared write-set keeps
-    /// the activity out of every shard (it then always fires on the
-    /// sequential path, which needs no write footprint).
-    pub(crate) writes: ReadSet,
 }
 
 impl std::fmt::Debug for InputGate {
@@ -60,12 +54,9 @@ pub struct OutputGate {
     pub(crate) name: String,
     pub(crate) function: GateFn,
     /// Places the update function declares it reads. Does not enter the
-    /// dependency index (output gates run at completion, not at enablement)
-    /// but shard derivation requires it.
+    /// dependency index (output gates run at completion, not at
+    /// enablement); analysis tools check it.
     pub(crate) reads: ReadSet,
-    /// Places the update function declares it writes (shard derivation;
-    /// see [`InputGate`]).
-    pub(crate) writes: ReadSet,
 }
 
 impl std::fmt::Debug for OutputGate {
@@ -87,7 +78,6 @@ impl InputGate {
             predicate: Box::new(predicate),
             function: None,
             reads: ReadSet::All,
-            writes: ReadSet::All,
         }
     }
 
@@ -102,7 +92,6 @@ impl InputGate {
             predicate: Box::new(predicate),
             function: Some(Box::new(function)),
             reads: ReadSet::All,
-            writes: ReadSet::All,
         }
     }
 
@@ -114,23 +103,10 @@ impl InputGate {
         self
     }
 
-    /// Declares the places the update function writes (builder form).
-    #[must_use]
-    pub fn with_writes(mut self, places: impl IntoIterator<Item = PlaceId>) -> Self {
-        self.writes = ReadSet::Declared(places.into_iter().collect());
-        self
-    }
-
     /// The gate's declared read-set.
     #[must_use]
     pub fn reads(&self) -> &ReadSet {
         &self.reads
-    }
-
-    /// The update function's declared write-set.
-    #[must_use]
-    pub fn writes(&self) -> &ReadSet {
-        &self.writes
     }
 
     /// Gate name (for diagnostics).
@@ -150,7 +126,6 @@ impl OutputGate {
             name: name.into(),
             function: Box::new(function),
             reads: ReadSet::All,
-            writes: ReadSet::All,
         }
     }
 
@@ -161,23 +136,10 @@ impl OutputGate {
         self
     }
 
-    /// Declares the places the update function writes (builder form).
-    #[must_use]
-    pub fn with_writes(mut self, places: impl IntoIterator<Item = PlaceId>) -> Self {
-        self.writes = ReadSet::Declared(places.into_iter().collect());
-        self
-    }
-
     /// The update function's declared read-set.
     #[must_use]
     pub fn reads(&self) -> &ReadSet {
         &self.reads
-    }
-
-    /// The update function's declared write-set.
-    #[must_use]
-    pub fn writes(&self) -> &ReadSet {
-        &self.writes
     }
 
     /// Gate name (for diagnostics).

@@ -7,7 +7,7 @@ use std::time::Duration;
 use vsched_core::{Engine, ScheduleDecision, SystemConfig};
 use vsched_env::{
     run_remote_episode, serve, Env, EpisodeError, LineTransport, Message, PolicyFault,
-    RemotePolicy, Scenario, PROTO_VERSION,
+    RemotePolicy, Scenario, MAX_LINE_BYTES, PROTO_VERSION,
 };
 
 fn scenario() -> Scenario {
@@ -86,6 +86,32 @@ fn an_undeclared_field_name_is_a_handshake_fault() {
     match err {
         PolicyFault::Handshake(msg) => assert!(msg.contains("secret_sauce"), "{msg}"),
         other => panic!("expected Handshake, got {other}"),
+    }
+}
+
+#[test]
+fn an_oversized_hello_is_a_line_too_long_fault() {
+    // 2 MiB of `x` without a newline, then a stall: the cap trips before
+    // the line ends, so the host never buffers the whole thing.
+    let err =
+        spawn_agent("read hello; head -c 2097152 /dev/zero | tr '\\0' x; sleep 5").unwrap_err();
+    assert_eq!(
+        err,
+        PolicyFault::LineTooLong {
+            limit: MAX_LINE_BYTES
+        }
+    );
+}
+
+#[test]
+fn a_deeply_nested_hello_is_a_parse_fault() {
+    let err = spawn_agent("read hello; head -c 200000 /dev/zero | tr '\\0' '['; echo; sleep 5")
+        .unwrap_err();
+    match err {
+        PolicyFault::Parse { detail, .. } => {
+            assert!(detail.contains("recursion limit"), "{detail}");
+        }
+        other => panic!("expected Parse, got {other}"),
     }
 }
 
