@@ -9,18 +9,25 @@
 //!   of pending/cancelled ids: cancellation is an O(1) slot write, and a
 //!   handle ([`CalEventId`]) is an index + generation pair that can never
 //!   alias a reused slot.
-//! * The **current-instant zone** holds every event scheduled at the time
-//!   currently being processed, bucketed by priority. The paper model
-//!   fires thousands of instantaneous activities per clock tick, all at
-//!   the same instant across a handful of priority levels; the zone turns
-//!   each of those pops into a deque `pop_front` instead of a heap
-//!   sift-down over the entire future-event list.
-//! * A conventional binary **future heap** holds everything beyond the
-//!   current instant. When the zone drains, the next time cohort is
-//!   pulled from the heap in one pass.
+//! * The **current-instant zone** holds every event scheduled at the
+//!   instant currently being processed, bucketed by priority. The zone is
+//!   *anchored* at that instant: it keeps the instant when its last event
+//!   pops, so an event scheduled at the same instant afterwards still goes
+//!   straight into a bucket. The paper model's period-1 clock is alone at
+//!   its instant, and its firing activates thousands of instantaneous
+//!   activities at that same instant across a handful of priority levels;
+//!   each of those schedules is a deque `push_back` and each pop a
+//!   `pop_front`, never a heap sift over the future-event list.
+//! * A conventional binary **future heap** holds everything later than the
+//!   anchor. Only an empty zone that needs a head pulls the next time
+//!   cohort — every live heap entry at the minimum time, in one pass — and
+//!   re-anchors at it. A schedule *earlier* than the anchor (the engine
+//!   never makes one) spills the zone back to the heap and un-anchors it.
 //!
-//! Equivalence with [`EventQueue`] is pinned by unit tests below and by a
-//! randomized schedule/cancel/pop proptest in
+//! While the zone is anchored at `t`, every live heap entry is later than
+//! `t`, which is what keeps the pop order identical to [`EventQueue`]'s.
+//! Equivalence is pinned by unit tests below and by a randomized
+//! schedule/schedule-now/cancel/pop/peek proptest in
 //! `crates/des/tests/proptest_event_queue.rs`.
 //!
 //! [`EventQueue`]: crate::event::EventQueue
@@ -85,7 +92,10 @@ pub struct CalendarQueue<T> {
     free: Vec<u32>,
     next_seq: u64,
     live: usize,
-    /// The instant the zone currently represents (`None` = zone empty).
+    /// The instant the zone is anchored at (`None` = unanchored: nothing
+    /// popped yet, or spilled/cleared). Stays set while the zone is empty,
+    /// so same-instant schedules keep bypassing the heap; every live heap
+    /// entry is later than it.
     zone_time: Option<SimTime>,
     /// Priority buckets at `zone_time`, highest priority first. Each
     /// deque is in seq (insertion) order; entries carry the seq they were
@@ -248,10 +258,10 @@ impl<T> CalendarQueue<T> {
         let bucket = &mut self.zone[0].1;
         bucket.pop_front();
         if bucket.is_empty() {
+            // The zone stays anchored at `time` even if this was its last
+            // event: the popped event's firing typically schedules more
+            // events at this very instant.
             self.zone.remove(0);
-            if self.zone.is_empty() {
-                self.zone_time = None;
-            }
         }
         if self.monotonicity_check {
             if let Some(last) = self.last_popped {
@@ -282,6 +292,13 @@ impl<T> CalendarQueue<T> {
         self.zone_time = None;
         self.future.clear();
         self.live = 0;
+    }
+
+    /// Entries on the future heap, stale ones included — lets tests pin
+    /// that same-instant traffic never touches the heap.
+    #[cfg(test)]
+    fn future_len(&self) -> usize {
+        self.future.len()
     }
 
     /// Inserts a live entry into the zone's priority buckets.
@@ -320,8 +337,9 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Ensures the zone's head entry is live, pulling the next time
-    /// cohort from the heap when the zone drains. Returns the head
-    /// `(slot, seq)` or `None` if the queue is empty.
+    /// cohort from the heap (and re-anchoring the zone at its time) when
+    /// the zone is empty. Returns the head `(slot, seq)` or `None` if the
+    /// queue is empty, in which case the anchor is left where it was.
     fn ensure_zone_head(&mut self) -> Option<(u32, u64)> {
         loop {
             // Prune stale entries off the zone front.
@@ -339,10 +357,11 @@ impl<T> CalendarQueue<T> {
                     }
                 }
             }
-            self.zone_time = None;
             // Pull the earliest cohort (all events at the minimum time)
             // from the heap. Heap order pops same-time entries priority-
-            // descending then seq-ascending, so bucket order is right.
+            // descending then seq-ascending, so bucket order is right. The
+            // zone is empty, so every entry pulled is later than the old
+            // anchor, and the anchor moves only once a live entry exists.
             let mut cohort_time: Option<SimTime> = None;
             while let Some(top) = self.future.peek() {
                 let s = &self.slots[top.slot as usize];
@@ -438,6 +457,49 @@ mod tests {
         q.schedule(t, 7, "cascade-high");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
         assert_eq!(order, ["cascade-high", "cascade-low", "later"]);
+    }
+
+    #[test]
+    fn drained_zone_stays_anchored_for_same_instant_schedules() {
+        // The zone's only event pops, draining it; events scheduled at
+        // that instant afterwards must still pop before the later heap
+        // event, by priority, then by insertion order.
+        let mut q = CalendarQueue::new();
+        let t = SimTime::new(1.0);
+        q.schedule(t, 0, "clock");
+        q.schedule(SimTime::new(2.0), 9, "later");
+        assert_eq!(q.pop().map(|(_, _, p)| p), Some("clock"));
+        q.schedule(t, 3, "low-a");
+        q.schedule(t, 7, "high-a");
+        q.schedule(t, 3, "low-b");
+        q.schedule(t, 7, "high-b");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
+        assert_eq!(order, ["high-a", "high-b", "low-a", "low-b", "later"]);
+    }
+
+    #[test]
+    fn instantaneous_cascade_never_touches_the_future_heap() {
+        // The SAN clock pattern: the period-1 clock is alone at its
+        // instant; popping it schedules its next tick and a cascade of
+        // same-instant events, each of which schedules the next link.
+        // Only the next tick may ever sit on the heap.
+        let mut q = CalendarQueue::new();
+        q.schedule(SimTime::new(1.0), 0, 0u32);
+        for tick in 1..=3u32 {
+            let (t, _, _) = q.pop().expect("clock pops");
+            assert_eq!(t, SimTime::new(f64::from(tick)));
+            assert_eq!(q.future_len(), 0, "zone drained, heap empty");
+            q.schedule(SimTime::new(f64::from(tick + 1)), 0, 0);
+            q.schedule(t, 5, 1);
+            for link in 1..100u32 {
+                let (now, _, p) = q.pop().expect("cascade link pops");
+                assert_eq!((now, p), (t, link));
+                if link < 99 {
+                    q.schedule(t, 5, link + 1);
+                }
+                assert_eq!(q.future_len(), 1, "only the next tick is on the heap");
+            }
+        }
     }
 
     #[test]

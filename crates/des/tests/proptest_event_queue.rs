@@ -7,8 +7,20 @@ use vsched_des::{CalendarQueue, EventQueue, SimTime};
 /// Operations the fuzzer may apply.
 #[derive(Debug, Clone)]
 enum Op {
-    Schedule { time: u32, priority: i8 },
+    Schedule {
+        time: u32,
+        priority: i8,
+    },
+    /// Schedules at the time of the last pop (0 before any): the SAN
+    /// engine's instantaneous cascade, including right after the current
+    /// instant's last event popped.
+    ScheduleNow {
+        priority: i8,
+    },
     Pop,
+    /// Peeks the next time (calendar test only): pulls the next cohort,
+    /// so a following `ScheduleNow` lands before it.
+    Peek,
     CancelNth(usize),
 }
 
@@ -16,6 +28,21 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0u32..1000, any::<i8>()).prop_map(|(time, priority)| Op::Schedule { time, priority }),
         Just(Op::Pop),
+        (0usize..64).prop_map(Op::CancelNth),
+    ]
+}
+
+/// The calendar test's mix: same-instant schedules and pops are listed
+/// twice so that cascades (and drained-zone schedules) are common.
+fn calendar_op_strategy() -> impl Strategy<Value = Op> {
+    let now = || (-2i8..3).prop_map(|priority| Op::ScheduleNow { priority });
+    prop_oneof![
+        (0u32..1000, any::<i8>()).prop_map(|(time, priority)| Op::Schedule { time, priority }),
+        now(),
+        now(),
+        Just(Op::Pop),
+        Just(Op::Pop),
+        Just(Op::Peek),
         (0usize..64).prop_map(Op::CancelNth),
     ]
 }
@@ -88,6 +115,7 @@ proptest! {
                         .map(|seq| ids.iter().find(|(s, _)| *s == seq).unwrap().1);
                     prop_assert_eq!(got, expected);
                 }
+                Op::ScheduleNow { .. } | Op::Peek => unreachable!("calendar-only op"),
                 Op::CancelNth(n) => {
                     if let Some(&(seq, id)) = ids.get(n) {
                         let got = queue.cancel(id);
@@ -118,12 +146,15 @@ proptest! {
     /// and the live counts track. This is the contract that lets the SAN
     /// engine swap queues without a semantic change.
     #[test]
-    fn calendar_queue_matches_event_queue(ops in proptest::collection::vec(op_strategy(), 1..200)) {
+    fn calendar_queue_matches_event_queue(
+        ops in proptest::collection::vec(calendar_op_strategy(), 1..200)
+    ) {
         let mut old: EventQueue<u64> = EventQueue::new();
         let mut new: CalendarQueue<u64> = CalendarQueue::new();
         let mut old_ids = Vec::new();
         let mut new_ids = Vec::new();
         let mut payload = 0u64;
+        let mut now = SimTime::ZERO;
         for op in ops {
             match op {
                 Op::Schedule { time, priority } => {
@@ -132,10 +163,21 @@ proptest! {
                     new_ids.push(new.schedule(t, i32::from(priority), payload));
                     payload += 1;
                 }
+                Op::ScheduleNow { priority } => {
+                    old_ids.push(old.schedule(now, i32::from(priority), payload));
+                    new_ids.push(new.schedule(now, i32::from(priority), payload));
+                    payload += 1;
+                }
                 Op::Pop => {
                     let a = old.pop().map(|(t, _, p)| (t, p));
                     let b = new.pop().map(|(t, _, p)| (t, p));
                     prop_assert_eq!(a, b);
+                    if let Some((t, _)) = a {
+                        now = t;
+                    }
+                }
+                Op::Peek => {
+                    prop_assert_eq!(old.peek_time(), new.peek_time());
                 }
                 Op::CancelNth(n) => {
                     if let (Some(&a), Some(&b)) = (old_ids.get(n), new_ids.get(n)) {

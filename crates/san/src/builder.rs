@@ -8,79 +8,9 @@ use vsched_des::{Dist, Xoshiro256StarStar};
 use crate::activity::{ActivityId, ActivitySpec, CaseSpec, CaseWeights, RateFn, Timing, WeightFn};
 use crate::error::SanError;
 use crate::gate::{InputGate, OutputGate};
+use crate::index::DependencyIndex;
 use crate::marking::{Marking, PlaceId, ReadSet};
 use crate::record::RecordRef;
-
-/// Place → dependent-activity index computed at [`ModelBuilder::build`] time
-/// from input arcs and declared read-sets. The simulator's incremental
-/// reevaluation visits `dependents(p)` for each dirty place `p`, plus every
-/// `conservative` activity.
-///
-/// Stored in CSR (offsets + one flat data array) rather than a `Vec` per
-/// place: at 1000-VM scale the per-place `Vec` headers alone cost more
-/// cache traffic than the dependent lists themselves, and the hot loop
-/// walks several lists per completion.
-pub(crate) struct EnableIndex {
-    /// `offsets[p] .. offsets[p + 1]` indexes `data` for place `p`.
-    offsets: Vec<u32>,
-    /// Dependent activity indices, ascending within each place's range.
-    data: Vec<u32>,
-    /// Activities with an undeclared enablement closure, ascending — the
-    /// conservative fallback, revisited after every firing.
-    pub(crate) conservative: Vec<u32>,
-}
-
-impl EnableIndex {
-    fn build(num_places: usize, activities: &[ActivitySpec]) -> Self {
-        // Two passes: count per-place degrees, then fill the flat array.
-        let mut counts = vec![0u32; num_places];
-        let mut conservative = Vec::new();
-        let mut reads: Vec<Option<Vec<crate::PlaceId>>> = Vec::with_capacity(activities.len());
-        for (i, act) in activities.iter().enumerate() {
-            let r = act.enablement_reads();
-            match &r {
-                Some(places) => {
-                    for p in places {
-                        counts[p.index()] += 1;
-                    }
-                }
-                None => conservative.push(i as u32),
-            }
-            reads.push(r);
-        }
-        let mut offsets = Vec::with_capacity(num_places + 1);
-        let mut total = 0u32;
-        offsets.push(0);
-        for &c in &counts {
-            total += c;
-            offsets.push(total);
-        }
-        let mut cursor: Vec<u32> = offsets[..num_places].to_vec();
-        let mut data = vec![0u32; total as usize];
-        // `enablement_reads` is sorted and deduplicated, and `i` is
-        // ascending, so every per-place range ends up ascending too.
-        for (i, r) in reads.iter().enumerate() {
-            if let Some(places) = r {
-                for p in places {
-                    let slot = &mut cursor[p.index()];
-                    data[*slot as usize] = i as u32;
-                    *slot += 1;
-                }
-            }
-        }
-        EnableIndex {
-            offsets,
-            data,
-            conservative,
-        }
-    }
-
-    /// Activities whose enablement may depend on place `p`, ascending.
-    #[inline]
-    pub(crate) fn dependents(&self, p: usize) -> &[u32] {
-        &self.data[self.offsets[p] as usize..self.offsets[p + 1] as usize]
-    }
-}
 
 /// A complete, validated SAN model ready for simulation.
 ///
@@ -91,7 +21,11 @@ pub struct Model {
     pub(crate) names: Arc<Vec<String>>,
     pub(crate) initial: Vec<i64>,
     pub(crate) activities: Vec<ActivitySpec>,
-    pub(crate) enable_index: EnableIndex,
+    /// Place → dependent-activity index, from input arcs and declared
+    /// enablement read-sets. The simulator's incremental reevaluation
+    /// visits `dependents(p)` for each dirty place `p`, plus every
+    /// `conservative` activity.
+    pub(crate) enable_index: DependencyIndex,
 }
 
 impl std::fmt::Debug for Model {
@@ -416,7 +350,13 @@ impl ModelBuilder {
     /// invariants are enforced at declaration time), but returns `Result`
     /// so future validations are non-breaking.
     pub fn build(self) -> Result<Model, SanError> {
-        let enable_index = EnableIndex::build(self.names.len(), &self.activities);
+        let reads: Vec<Option<Vec<PlaceId>>> = self
+            .activities
+            .iter()
+            .map(ActivitySpec::enablement_reads)
+            .collect();
+        let enable_index =
+            DependencyIndex::build(self.names.len(), reads.iter().map(Option::as_deref));
         Ok(Model {
             names: Arc::new(self.names),
             initial: self.initial,

@@ -72,6 +72,7 @@ pub mod builder;
 pub mod error;
 pub mod experiment;
 pub mod gate;
+mod index;
 pub mod marking;
 pub mod numerical;
 pub mod record;

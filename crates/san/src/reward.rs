@@ -13,7 +13,7 @@
 use vsched_stats::TimeWeighted;
 
 use crate::activity::ActivityId;
-use crate::marking::Marking;
+use crate::marking::{Marking, PlaceId};
 
 /// Handle to a reward variable registered with a [`crate::Simulator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -25,6 +25,9 @@ pub type RewardFn = Box<dyn Fn(&Marking) -> f64>;
 pub(crate) struct RateReward {
     pub(crate) name: String,
     pub(crate) f: RewardFn,
+    /// Declared read-set, sorted and deduplicated; `None` if undeclared
+    /// (recomputed after every state change).
+    pub(crate) reads: Option<Vec<PlaceId>>,
     pub(crate) acc: TimeWeighted,
     /// Value of `f` since the last state change (the signal is piecewise
     /// constant between completions).

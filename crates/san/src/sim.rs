@@ -5,6 +5,7 @@ use vsched_des::{CalEventId, CalendarQueue, RngStreams, SimTime, Xoshiro256StarS
 use crate::activity::{ActivityId, CaseWeights, Timing};
 use crate::builder::Model;
 use crate::error::SanError;
+use crate::index::{CandidateSort, DependencyIndex};
 use crate::marking::{Marking, PlaceId, ReadSet};
 use crate::reward::{ImpulseReward, RateReward, RewardFn, RewardId};
 
@@ -17,7 +18,8 @@ const INSTANTANEOUS_BASE: i32 = 1_000_000;
 pub struct RunStats {
     /// Activity completions processed during the call.
     pub completions: u64,
-    /// Activity activations that were aborted (disabled before completing).
+    /// Activity activations aborted during the call (disabled before
+    /// completing, or resampled after a rate change).
     pub aborts: u64,
 }
 
@@ -69,11 +71,10 @@ pub struct Simulator {
     /// accumulator loop: the update would add `0.0 * value`, a bit-exact
     /// no-op for finite reward values.
     reward_clock: f64,
-    /// Per place: rate rewards whose declared read-set contains it,
-    /// ascending (mirror of the model's place → activity index).
-    reward_dependents: Vec<Vec<u32>>,
-    /// Rate rewards with undeclared read-sets — recomputed every firing.
-    reward_conservative: Vec<u32>,
+    /// Place → dependent rate-reward index (the mirror of the model's
+    /// place → activity index), rebuilt at the start of a run or external
+    /// mutation whenever rewards were registered since the last build.
+    reward_index: DependencyIndex,
     impulse_rewards: Vec<ImpulseReward>,
     /// Guard against models whose instantaneous activities loop forever.
     max_zero_advance: u64,
@@ -83,8 +84,12 @@ pub struct Simulator {
     full_rescan: bool,
     /// Scratch: candidate activity indices for incremental reevaluation.
     eval_scratch: Vec<u32>,
+    /// Candidate sort over activity indices.
+    eval_sort: CandidateSort,
     /// Scratch: candidate reward indices for incremental recomputation.
     reward_scratch: Vec<u32>,
+    /// Candidate sort over reward indices (sized with `reward_index`).
+    reward_sort: CandidateSort,
     /// Scratch buffer for dynamic case weights (reused across completions).
     weight_scratch: Vec<f64>,
     stats: RunStats,
@@ -120,14 +125,15 @@ impl Simulator {
             gate_rngs: (0..n).map(|i| streams.stream(30_000 + i as u64)).collect(),
             rate_rewards: Vec::new(),
             reward_clock: 0.0,
-            reward_dependents: vec![Vec::new(); model.num_places()],
-            reward_conservative: Vec::new(),
+            reward_index: DependencyIndex::build(model.num_places(), []),
             impulse_rewards: Vec::new(),
             max_zero_advance: 1_000_000,
             started: false,
             full_rescan: false,
             eval_scratch: Vec::new(),
+            eval_sort: CandidateSort::new(n),
             reward_scratch: Vec::new(),
+            reward_sort: CandidateSort::new(0),
             weight_scratch: Vec::new(),
             stats: RunStats::default(),
             model,
@@ -221,17 +227,14 @@ impl Simulator {
 
     fn push_rate_reward(&mut self, name: String, f: RewardFn, reads: ReadSet) -> RewardId {
         let id = self.rate_rewards.len();
-        match &reads {
-            ReadSet::All => self.reward_conservative.push(id as u32),
-            ReadSet::Declared(places) => {
-                let mut places: Vec<usize> = places.iter().map(|p| p.index()).collect();
+        let reads = match reads {
+            ReadSet::All => None,
+            ReadSet::Declared(mut places) => {
                 places.sort_unstable();
                 places.dedup();
-                for p in places {
-                    self.reward_dependents[p].push(id as u32);
-                }
+                Some(places)
             }
-        }
+        };
         let current = f(&self.marking);
         let mut acc = vsched_stats::TimeWeighted::new(self.time.as_f64());
         // If registered mid-run, the accumulator starts "now"; if registered
@@ -240,6 +243,7 @@ impl Simulator {
         self.rate_rewards.push(RateReward {
             name,
             f,
+            reads,
             acc,
             current,
         });
@@ -337,6 +341,7 @@ impl Simulator {
     /// every subsequent draw) matches a run whose mutation happened after
     /// startup.
     pub fn apply_external(&mut self, f: impl FnOnce(&mut Marking)) {
+        self.sync_reward_index();
         if !self.started {
             self.started = true;
             for idx in 0..self.model.activities.len() {
@@ -368,6 +373,7 @@ impl Simulator {
     /// configured limit of activities without time advancing.
     pub fn run_until(&mut self, t_end: f64) -> Result<RunStats, SanError> {
         let t_end = SimTime::new(t_end);
+        self.sync_reward_index();
         if !self.started {
             self.started = true;
             // The first evaluation considers everything in both modes.
@@ -376,6 +382,7 @@ impl Simulator {
             }
         }
         let mut run = RunStats::default();
+        let aborts_before = self.stats.aborts;
         self.run_events(t_end, &mut run)?;
         // Advance the clock and the reward windows to the horizon.
         self.time = self.time.max(t_end);
@@ -387,8 +394,21 @@ impl Simulator {
             self.reward_clock = now;
         }
         self.stats.completions += run.completions;
-        run.aborts = self.stats.aborts;
+        run.aborts = self.stats.aborts - aborts_before;
         Ok(run)
+    }
+
+    /// Rebuilds the place → reward index if rate rewards were registered
+    /// since it was last built (before the first run, or mid-run).
+    fn sync_reward_index(&mut self) {
+        if self.reward_index.items() == self.rate_rewards.len() {
+            return;
+        }
+        self.reward_index = DependencyIndex::build(
+            self.model.num_places(),
+            self.rate_rewards.iter().map(|r| r.reads.as_deref()),
+        );
+        self.reward_sort = CandidateSort::new(self.rate_rewards.len());
     }
 
     /// The event loop of [`Simulator::run_until`].
@@ -500,12 +520,11 @@ impl Simulator {
             self.reward_scratch.clear();
             for &p in self.marking.dirty() {
                 self.reward_scratch
-                    .extend_from_slice(&self.reward_dependents[p]);
+                    .extend_from_slice(self.reward_index.dependents(p));
             }
             self.reward_scratch
-                .extend_from_slice(&self.reward_conservative);
-            self.reward_scratch.sort_unstable();
-            self.reward_scratch.dedup();
+                .extend_from_slice(&self.reward_index.conservative);
+            self.reward_sort.sort_dedup(&mut self.reward_scratch);
             for &ri in &self.reward_scratch {
                 let r = &mut self.rate_rewards[ri as usize];
                 r.current = (r.f)(&self.marking);
@@ -543,8 +562,7 @@ impl Simulator {
         if let Some(fired) = fired {
             cand.push(fired as u32);
         }
-        cand.sort_unstable();
-        cand.dedup();
+        self.eval_sort.sort_dedup(&mut cand);
         for &idx in &cand {
             self.reevaluate_one(idx as usize);
         }
@@ -1309,6 +1327,114 @@ mod tests {
             );
         }
         assert!(inc.stats().completions > 50, "model actually ran");
+    }
+
+    /// A clock-like model: a period-1 clock feeds `n` places, each drained
+    /// at the clock's instant by an instantaneous activity (three priority
+    /// levels); the drained tokens are then served by a rate-scaled timed
+    /// activity, so a tick both cascades and resamples. A clock firing
+    /// dirties `n` places whose dependents are dense in the activity
+    /// index, so reevaluation (and, with one reward per place, reward
+    /// recomputation) goes through the bitset path of the candidate sort.
+    fn fan_out_model(n: usize) -> Model {
+        let mut mb = ModelBuilder::new();
+        let ticks: Vec<PlaceId> = (0..n)
+            .map(|k| mb.place(&format!("tick{k}"), 0).unwrap())
+            .collect();
+        let done: Vec<PlaceId> = (0..n)
+            .map(|k| mb.place(&format!("done{k}"), 0).unwrap())
+            .collect();
+        let mut clock = mb
+            .activity("clock")
+            .unwrap()
+            .timed(Dist::deterministic(1.0).unwrap());
+        for &t in &ticks {
+            clock = clock.output_arc(t, 1);
+        }
+        clock.done().unwrap();
+        for k in 0..n {
+            let d = done[k];
+            mb.activity(&format!("take{k}"))
+                .unwrap()
+                .instantaneous((k % 3) as i32)
+                .input_arc(ticks[k], 1)
+                .output_arc(d, 1)
+                .done()
+                .unwrap();
+            mb.activity(&format!("serve{k}"))
+                .unwrap()
+                .timed(Dist::exponential(0.8).unwrap())
+                .rate_multiplier(move |m| m.tokens(d).min(4) as f64)
+                .reads([d])
+                .input_arc(d, 1)
+                .done()
+                .unwrap();
+        }
+        mb.build().unwrap()
+    }
+
+    #[test]
+    fn incremental_matches_full_rescan_on_a_clock_fan_out() {
+        const N: usize = 200;
+        let mut inc = Simulator::new(fan_out_model(N), 17);
+        let mut full = Simulator::new(fan_out_model(N), 17);
+        full.set_full_rescan(true);
+        let place = |name: String| inc.model().place_by_name(&name).unwrap();
+        let ticks: Vec<PlaceId> = (0..N).map(|k| place(format!("tick{k}"))).collect();
+        let done: Vec<PlaceId> = (0..N).map(|k| place(format!("done{k}"))).collect();
+        let mut pairs = Vec::new();
+        for (&t, &d) in ticks.iter().zip(&done) {
+            let f = move |m: &Marking| (m.tokens(t) + 2 * m.tokens(d)) as f64;
+            pairs.push((
+                inc.add_rate_reward_with_reads("backlog", [t, d], f),
+                full.add_rate_reward("backlog", f),
+            ));
+        }
+        let check = |inc: &Simulator, full: &Simulator, pairs: &[(RewardId, RewardId)]| {
+            assert_eq!(inc.marking().as_slice(), full.marking().as_slice());
+            assert_eq!(inc.stats(), full.stats());
+            for &(a, b) in pairs {
+                assert_eq!(
+                    inc.rate_reward_average(a).to_bits(),
+                    full.rate_reward_average(b).to_bits()
+                );
+            }
+        };
+        for horizon in [0.5, 3.0, 7.5] {
+            inc.run_until(horizon).unwrap();
+            full.run_until(horizon).unwrap();
+            check(&inc, &full, &pairs);
+        }
+        // A rate reward registered mid-run rebuilds the reward index.
+        let (d0, d1) = (done[0], done[N - 1]);
+        let total = move |m: &Marking| (m.tokens(d0) + m.tokens(d1)) as f64;
+        pairs.push((
+            inc.add_rate_reward_with_reads("ends", [d1, d0, d1], total),
+            full.add_rate_reward("ends", total),
+        ));
+        for horizon in [12.0, 30.0] {
+            inc.run_until(horizon).unwrap();
+            full.run_until(horizon).unwrap();
+            check(&inc, &full, &pairs);
+        }
+        assert!(
+            inc.stats().completions > 30 * N as u64,
+            "every tick cascades"
+        );
+        assert!(inc.stats().aborts > 0, "rate changes resample");
+    }
+
+    #[test]
+    fn run_until_reports_per_call_aborts() {
+        let mut sim = Simulator::new(fan_out_model(20), 5);
+        let first = sim.run_until(10.0).unwrap();
+        let second = sim.run_until(25.0).unwrap();
+        assert!(first.aborts > 0 && second.aborts > 0, "both calls abort");
+        assert_eq!(first.aborts + second.aborts, sim.stats().aborts);
+        assert_eq!(
+            first.completions + second.completions,
+            sim.stats().completions
+        );
     }
 
     #[test]
